@@ -10,7 +10,7 @@ snapshots, F/E+CB bit vectors) lives.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 
 class CacheLine:
@@ -133,6 +133,12 @@ class SetAssociativeCache:
 
     def lines(self) -> List[int]:
         return [entry.line for entry in self]
+
+    def entries_of_sets(self, lines: Iterable[int]) -> List[CacheLine]:
+        """Entries of the sets ``lines`` map to, in full-iteration order."""
+        indexes = sorted({line % self.sets for line in lines})
+        return [entry for index in indexes
+                for entry in self._sets[index].values()]
 
     def ckpt_state(self, payload_state: Callable[[Any], Any]) -> List[list]:
         """Per-set resident lines in replacement order (oldest first),

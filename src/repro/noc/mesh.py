@@ -12,6 +12,7 @@ potential link-contention extensions).
 
 from __future__ import annotations
 
+import functools
 from typing import List, Tuple
 
 
@@ -50,8 +51,6 @@ class Mesh:
         X-dimension is fully resolved before the Y-dimension (deterministic
         dimension-order routing, as in Table 2).
         """
-        self._check(src)
-        self._check(dst)
         path = [src]
         x, y = self.coords(src)
         dx, dy = self.coords(dst)
@@ -100,8 +99,6 @@ class Torus(Mesh):
 
     def route(self, src: int, dst: int) -> List[int]:
         """X-Y dimension-order routing taking the shorter way around."""
-        self._check(src)
-        self._check(dst)
         path = [src]
         x, y = self.coords(src)
         dx, dy = self.coords(dst)
@@ -121,3 +118,11 @@ def make_topology(name: str, side: int) -> Mesh:
     if name == "torus":
         return Torus(side)
     raise ValueError(f"unknown topology {name!r} (mesh | torus)")
+
+
+@functools.lru_cache(maxsize=None)
+def hop_table(name: str, side: int) -> Tuple[int, ...]:
+    """Flat ``src * n + dst`` hop counts, built once per shape."""
+    topology = make_topology(name, side)
+    nodes = range(topology.num_nodes)
+    return tuple(topology.hops(src, dst) for src in nodes for dst in nodes)

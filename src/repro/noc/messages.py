@@ -35,6 +35,9 @@ class MsgKind(enum.Enum):
     FWD = "Fwd"                # directory forward to owner (MESI)
     WAKEUP = "Wakeup"          # callback satisfied: word value to a waiter
 
+    # Identity hash: native, unlike Enum's; keys Network.send's tables.
+    __hash__ = object.__hash__
+
     @property
     def is_control(self) -> bool:
         return self not in _DATA_BEARING
@@ -48,9 +51,7 @@ _DATA_BEARING = {MsgKind.DATA, MsgKind.DATA_WORD, MsgKind.WAKEUP,
 def message_bytes(kind: MsgKind, line_bytes: int, word_bytes: int,
                   header_bytes: int) -> int:
     """Wire size of one message of ``kind``."""
-    if kind is MsgKind.DATA:
-        return header_bytes + line_bytes
-    if kind is MsgKind.PUTM:
+    if kind in (MsgKind.DATA, MsgKind.PUTM):
         return header_bytes + line_bytes
     if kind in (MsgKind.DATA_WORD, MsgKind.WAKEUP, MsgKind.STORE_THROUGH,
                 MsgKind.WRITE_THROUGH, MsgKind.ATOMIC):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from repro.config import SystemConfig
-from repro.noc.mesh import Mesh, make_topology
+from repro.noc.mesh import hop_table, make_topology
 from repro.noc.messages import MsgKind, message_bytes
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
@@ -41,6 +41,14 @@ class Network:
         self.stats = stats
         self.mesh = make_topology(config.topology,
                                   config.mesh_side)
+        # Flat src * n + dst hop counts, shared per (topology, side).
+        self._hops = hop_table(config.topology, config.mesh_side)
+        # MsgKind -> (counter name, wire bytes, flits), constant per config.
+        self._wire = {}
+        for kind in MsgKind:
+            size = message_bytes(kind, config.line_bytes, config.word_bytes,
+                                 config.header_bytes)
+            self._wire[kind] = (kind.value, size, config.flits_for(size))
         # (src_tile, dst_tile) directed link -> busy-until cycle.
         self._link_busy: dict = {}
         #: Telemetry probe bus (set when a Telemetry attaches), else None.
@@ -60,13 +68,19 @@ class Network:
         self.fault_hook: Optional[
             Callable[[int, int, MsgKind, int], Tuple[int, int]]] = None
 
+    def hops(self, src: int, dst: int) -> int:
+        """Table hop count; ids out of range raise (``-1`` would wrap)."""
+        n = self.mesh.num_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"node id out of range: {src} -> {dst}")
+        return self._hops[src * n + dst]
+
     def message_latency(self, src: int, dst: int, kind: MsgKind) -> int:
         """Cycles from injection at ``src`` to delivery at ``dst``."""
-        hops = self.mesh.hops(src, dst)
+        hops = self.hops(src, dst)
         if hops == 0:
             return LOCAL_DELIVERY_LATENCY
-        flits = self.config.flits_for(self._size(kind))
-        return hops * self.config.switch_latency + (flits - 1)
+        return hops * self.config.switch_latency + self._wire[kind][2] - 1
 
     def send(
         self,
@@ -82,23 +96,20 @@ class Network:
         Figure 20 LLC-sync-access metric upstream; the tag itself is only
         recorded in per-kind counters here). Returns the latency charged.
         """
+        hops = self.hops(src, dst)
+        name, size, flits = self._wire[kind]
         if self.config.model_link_contention:
             latency = self._contended_latency(src, dst, kind)
+        elif hops:
+            latency = hops * self.config.switch_latency + flits - 1
         else:
-            latency = self.message_latency(src, dst, kind)
-        hops = self.mesh.hops(src, dst)
-        size = self._size(kind)
-        flits = self.config.flits_for(size)
+            latency = LOCAL_DELIVERY_LATENCY
         duplicates = 0
         if self.fault_hook is not None:
             extra, duplicates = self.fault_hook(src, dst, kind, latency)
             latency += extra
-        if hops > 0:
-            self.stats.record_message(kind.value, flits, hops, size)
-        else:
-            # Local delivery: count the message for protocol-level
-            # message-count assertions, but it contributes no traffic.
-            self.stats.record_message(kind.value, flits, 0, size)
+        # Local deliveries (hops == 0) count as messages, with no traffic.
+        self.stats.record_message(name, flits, hops, size)
         if self.track_inflight and hops > 0:
             self.inflight_flits += flits
             inner = handler
@@ -108,7 +119,7 @@ class Network:
                 inner()
 
         if self.obs is not None:
-            self.obs.emit("noc.send", src=src, dst=dst, kind=kind.value,
+            self.obs.emit("noc.send", src=src, dst=dst, kind=name,
                           flits=flits, hops=hops, latency=latency,
                           sync=sync)
         self.engine.schedule(latency, handler)
@@ -116,7 +127,7 @@ class Network:
             # The duplicate crosses the network (charged as traffic) but
             # the receiver discards it: a daemon no-op one cycle behind
             # each copy, so duplication never extends the run's liveness.
-            self.stats.record_message(kind.value, flits, hops, size)
+            self.stats.record_message(name, flits, hops, size)
             self.stats.msgs_duplicated += 1
             self.engine.schedule(latency + 1 + copy, _drop_duplicate,
                                  daemon=True)
@@ -149,7 +160,7 @@ class Network:
         """
         if src == dst:
             return LOCAL_DELIVERY_LATENCY
-        flits = self.config.flits_for(self._size(kind))
+        flits = self._wire[kind][2]
         route = self.mesh.route(src, dst)
         time = self.engine.now
         for a, b in zip(route, route[1:]):
@@ -159,11 +170,3 @@ class Network:
             time = start + self.config.switch_latency
         time += flits - 1
         return time - self.engine.now
-
-    def _size(self, kind: MsgKind) -> int:
-        return message_bytes(
-            kind,
-            self.config.line_bytes,
-            self.config.word_bytes,
-            self.config.header_bytes,
-        )

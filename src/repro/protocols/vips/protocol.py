@@ -26,7 +26,7 @@ top of an unchanged VIPS-M.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.mem.cache import SetAssociativeCache
 from repro.noc.messages import MsgKind
@@ -71,6 +71,9 @@ class VIPSProtocol(CoherenceProtocol):
                                 policy=cfg.l1_replacement)
             for _ in range(cfg.num_cores)
         ]
+        # Per-L1 fence indexes (derived, not checkpointed): O(lines) fences.
+        self._shared_lines: List[Set[int]] = [set() for _ in self.l1]
+        self._dirty_shared: List[Set[int]] = [set() for _ in self.l1]
         # Per-word atomic serialization at the home bank (LLC MSHR lock).
         self._mshr_locked: Dict[int, WaitQueue] = {}
 
@@ -111,9 +114,13 @@ class VIPSProtocol(CoherenceProtocol):
         word = self.addr_map.word_base(op.addr)
 
         def commit() -> None:
-            cached = self.l1[self.l1_of(core)].lookup(line)
+            node = self.l1_of(core)
+            cached = self.l1[node].lookup(line)
             if cached is not None:
-                cached.payload.dirty_words.add(word)
+                payload: VIPSLine = cached.payload
+                payload.dirty_words.add(word)
+                if flushes_on_fence(payload.shared, payload.dirty_words):
+                    self._dirty_shared[node].add(line)
             if op.value is not None:
                 self.store.write(word, op.value)
             self.resolve_later(future, self.config.l1_latency)
@@ -151,7 +158,14 @@ class VIPSProtocol(CoherenceProtocol):
               done: Callable[[], None]) -> None:
         node = self.l1_of(core)
         _entry, victim = self.l1[node].insert(line, VIPSLine(shared))
+        self._dirty_shared[node].discard(line)  # a re-fill comes in clean
+        if drops_on_self_invl(shared):
+            self._shared_lines[node].add(line)
+        else:
+            self._shared_lines[node].discard(line)
         if victim is not None:
+            self._shared_lines[node].discard(victim.line)
+            self._dirty_shared[node].discard(victim.line)
             self._write_back_victim(node, victim.line, victim.payload)
         done()
 
@@ -182,6 +196,7 @@ class VIPSProtocol(CoherenceProtocol):
             return None
         line = clean[selector % len(clean)]
         l1.remove(line)
+        self._shared_lines[self.l1_of(core)].discard(line)
         self.stats.l1_fault_drops += 1
         if self.obs is not None:
             self.obs.emit("l1.fault_drop", core=core, line=line)
@@ -190,26 +205,25 @@ class VIPSProtocol(CoherenceProtocol):
     # --------------------------------------------------------------- fences
 
     def _op_fence(self, core: int, op: ops.Fence) -> Future:
-        future = Future()
-        if op.kind is ops.FenceKind.SELF_INVL:
-            # Footnote 7: self_invl also downgrades transient dirty shared
-            # words so that the invalidation cannot lose data.
-            flush_delay = self._flush_dirty_shared(core)
-            removed = self.l1[self.l1_of(core)].evict_matching(
-                lambda entry: drops_on_self_invl(entry.payload.shared)
-            )
-            self.stats.self_invalidations += 1
-            self.stats.lines_self_invalidated += len(removed)
-            if self.obs is not None:
-                self.obs.emit("vips.self_invl", core=core,
-                              lines=len(removed))
-            self.resolve_later(future, 1 + flush_delay)
-        elif op.kind is ops.FenceKind.SELF_DOWN:
-            flush_delay = self._flush_dirty_shared(core)
-            self.stats.self_downgrades += 1
-            self.resolve_later(future, 1 + flush_delay)
-        else:
+        if op.kind not in (ops.FenceKind.SELF_INVL, ops.FenceKind.SELF_DOWN):
             raise ValueError(f"unknown fence: {op.kind}")
+        future = Future()
+        # Both fences write dirty shared words through; for self_invl this
+        # is footnote 7's downgrade, so the invalidation cannot lose data.
+        flush_delay = self._flush_dirty_shared(core)
+        if op.kind is ops.FenceKind.SELF_DOWN:
+            self.stats.self_downgrades += 1
+        else:
+            node = self.l1_of(core)
+            shared = self._shared_lines[node]
+            for line in shared:
+                self.l1[node].remove(line)
+            self.stats.self_invalidations += 1
+            self.stats.lines_self_invalidated += len(shared)
+            if self.obs is not None:
+                self.obs.emit("vips.self_invl", core=core, lines=len(shared))
+            shared.clear()
+        self.resolve_later(future, 1 + flush_delay)
         return future
 
     def _flush_dirty_shared(self, core: int) -> int:
@@ -220,7 +234,9 @@ class VIPSProtocol(CoherenceProtocol):
         """
         max_latency = 0
         node = self.l1_of(core)
-        for entry in self.l1[node]:
+        dirty = self._dirty_shared[node]
+        # Only sets holding dirty shared lines, in full-scan (= send) order.
+        for entry in self.l1[node].entries_of_sets(dirty):
             payload: VIPSLine = entry.payload
             if not flushes_on_fence(payload.shared, payload.dirty_words):
                 continue
@@ -239,6 +255,7 @@ class VIPSProtocol(CoherenceProtocol):
                        + self.network.message_latency(bank, node, MsgKind.ACK))
             self.network.send(bank, node, MsgKind.ACK, lambda: None)
             max_latency = max(max_latency, latency)
+        dirty.clear()
         return max_latency
 
     # ------------------------------------------------------------- racy ops

@@ -13,7 +13,7 @@ Checked invariants:
   over-approximate) the actual L1 contents.
 * **VIPS dirty-shared containment**: every dirty word recorded in an L1
   line belongs to that line; private lines are never flushed by fences
-  (checked statistically via counters).
+  (checked statistically via counters); fence indexes match an L1 scan.
 * **Callback directory**: per-entry CB bits mirror the waiter table;
   waiter cores are valid; occupancy never exceeds capacity; in One mode
   the F/E vector left by a write is uniform.
@@ -28,6 +28,7 @@ from repro.protocols.callback.protocol import CallbackProtocol
 from repro.protocols.mesi.protocol import MESIProtocol
 from repro.protocols.mesi.states import MESIState
 from repro.protocols.vips.protocol import VIPSProtocol
+from repro.protocols.vips.table import drops_on_self_invl, flushes_on_fence
 
 
 class InvariantViolation(AssertionError):
@@ -69,7 +70,7 @@ def check_mesi_swmr(protocol: MESIProtocol) -> None:
 
 
 def check_vips_l1(protocol: VIPSProtocol) -> None:
-    """Dirty-word containment and classification consistency."""
+    """Dirty-word containment, classification consistency, fence indexes."""
     line_bytes = protocol.config.line_bytes
     for core, l1 in enumerate(protocol.l1):
         for entry in l1:
@@ -84,6 +85,13 @@ def check_vips_l1(protocol: VIPSProtocol) -> None:
                 raise InvariantViolation(
                     f"core {core} line {entry.line:#x} cached as shared "
                     f"but classified private")
+        shared = {e.line for e in l1 if drops_on_self_invl(e.payload.shared)}
+        dirty = {e.line for e in l1
+                 if flushes_on_fence(e.payload.shared, e.payload.dirty_words)}
+        if (protocol._shared_lines[core] != shared
+                or protocol._dirty_shared[core] != dirty):
+            raise InvariantViolation(
+                f"core {core}: fence index differs from a scan of its L1")
 
 
 def check_callback_directory(protocol: CallbackProtocol) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import SystemConfig
+from repro.noc.mesh import hop_table, make_topology
 from repro.noc.messages import MsgKind, message_bytes
 from repro.noc.network import Network
 from repro.sim.engine import Engine
@@ -79,3 +80,57 @@ class TestTrafficAccounting:
         latency = net.send(0, 5, MsgKind.GETS, lambda: seen.append(engine.now))
         engine.run()
         assert seen == [latency]
+
+
+TOPOLOGIES = ("mesh", "torus")
+
+
+def topology_network(topology, side):
+    cfg = SystemConfig(num_cores=side * side, topology=topology)
+    return cfg, Network(cfg, Engine(), Stats())
+
+
+class TestPrecomputedTables:
+    """The send path reads hop counts and wire sizes from tables built
+    once; they must agree exactly with the topology and message model."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("side", range(1, 9))
+    def test_hop_table_equals_topology_hops(self, topology, side):
+        _cfg, net = topology_network(topology, side)
+        topo = make_topology(topology, side)
+        assert type(net.mesh) is type(topo)
+        nodes = range(side * side)
+        assert list(hop_table(topology, side)) == [
+            topo.hops(src, dst) for src in nodes for dst in nodes]
+        assert all(net.hops(src, dst) == topo.hops(src, dst)
+                   for src in nodes for dst in nodes)
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_hop_table_is_shared_per_shape(self, topology):
+        _c, first = topology_network(topology, 4)
+        _c, second = topology_network(topology, 4)
+        assert first._hops is second._hops
+
+    @pytest.mark.parametrize("kind", list(MsgKind))
+    def test_wire_size_and_flits_per_kind(self, kind):
+        cfg, net = topology_network("mesh", 8)
+        size = message_bytes(kind, cfg.line_bytes, cfg.word_bytes,
+                             cfg.header_bytes)
+        assert net._wire[kind] == (kind.value, size, cfg.flits_for(size))
+
+
+class TestNodeRangeChecks:
+    """A flat table would wrap -1 to the last node; ids out of range
+    must still raise."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_out_of_range_src_or_dst_raises(self, topology, bad):
+        _cfg, net = topology_network(topology, 4)
+        for src, dst in ((bad, 5), (5, bad), (bad, bad)):
+            with pytest.raises(ValueError):
+                net.send(src, dst, MsgKind.GETS, lambda: None)
+            with pytest.raises(ValueError):
+                net.message_latency(src, dst, MsgKind.GETS)
+        assert net.stats.messages == 0

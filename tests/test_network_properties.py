@@ -5,10 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
-from repro.noc.messages import MsgKind
+from repro.noc.messages import MsgKind, message_bytes
 from repro.noc.network import Network
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
+
+
+def wire_bytes(cfg, kind):
+    return message_bytes(kind, cfg.line_bytes, cfg.word_bytes,
+                         cfg.header_bytes)
 
 
 def make_network(contention=False, topology="mesh"):
@@ -29,8 +34,7 @@ def test_latency_is_affine_in_hops(src, dst, kind):
     if hops == 0:
         assert latency == 1
     else:
-        flits = cfg.flits_for(
-            net._size(kind))
+        flits = cfg.flits_for(wire_bytes(cfg, kind))
         assert latency == hops * cfg.switch_latency + flits - 1
 
 
@@ -56,7 +60,8 @@ def test_traffic_accounting_conserved(messages):
     expected = 0
     for src, dst, kind in messages:
         net.send(src, dst, kind, lambda: None)
-        expected += cfg.flits_for(net._size(kind)) * net.mesh.hops(src, dst)
+        expected += (cfg.flits_for(wire_bytes(cfg, kind))
+                     * net.mesh.hops(src, dst))
     assert stats.flit_hops == expected
     assert stats.messages == len(messages)
 

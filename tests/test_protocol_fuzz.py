@@ -135,3 +135,96 @@ def test_mesi_random_load_store_soup_keeps_swmr(script, seed):
     machine.engine.run()
     assert all(f.done for f in futures)
     check_mesi_swmr(machine.protocol)
+
+
+def _fence_fuzz_machine(label):
+    """L1s of two SMT threads each, with two 2-way sets: siblings re-fill
+    each other's resident lines, and 8 lines over two pages force
+    capacity victims."""
+    cfg = config_for(label, num_cores=4, threads_per_core=2,
+                     l1_size_bytes=256, l1_ways=2)
+    machine = Machine(cfg)
+    base = 0x40000
+    lines = [base + page * 4096 + i * cfg.line_bytes
+             for page in (0, 1) for i in range(4)]
+    return machine, lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    label=st.sampled_from(("BackOff-10", "CB-One")),
+    script=st.lists(
+        st.tuples(st.integers(0, 3),
+                  st.sampled_from(["load", "store", "invl", "down"]),
+                  st.integers(0, 7), st.integers(0, 7)),
+        min_size=24, max_size=120),
+    drops=st.lists(st.tuples(st.integers(1, 3000), st.integers(0, 2**16)),
+                   max_size=10),
+)
+def test_vips_fence_indexes_match_l1_scan(label, script, drops):
+    """Fills, sibling re-fills, victims, fences and injected clean-line
+    drops keep the shared and dirty-shared indexes equal to a full scan
+    of every L1, checked between every op and after every drop."""
+    from repro.validation import check_vips_l1
+    machine, lines = _fence_fuzz_machine(label)
+    protocol = machine.protocol
+    per_thread = {t: [] for t in range(4)}
+    for thread, kind, index, word in script:
+        per_thread[thread].append((kind, lines[index] + 8 * word))
+
+    def body(steps):
+        def gen(ctx):
+            for kind, addr in steps:
+                if kind == "load":
+                    yield ops.Load(addr)
+                elif kind == "store":
+                    yield ops.Store(addr, 1)
+                else:
+                    yield ops.Fence(ops.FenceKind.SELF_INVL
+                                    if kind == "invl"
+                                    else ops.FenceKind.SELF_DOWN)
+                check_vips_l1(protocol)
+        return gen
+
+    def drop(core, selector):
+        def fire():
+            protocol.drop_clean_line(core, selector)
+            check_vips_l1(protocol)
+        return fire
+
+    for cycle, selector in drops:
+        machine.engine.schedule(cycle, drop(selector % 4, selector // 4),
+                                daemon=True)
+    machine.spawn([body(per_thread[t]) for t in range(4)])
+    machine.run()
+    check_vips_l1(protocol)
+
+
+@pytest.mark.parametrize("label", ["BackOff-10", "CB-One"])
+def test_sibling_refill_of_dirty_shared_line_clears_its_index(label):
+    """Sibling threads miss on the same shared line at once: the second
+    fill replaces the line's payload (dropping the first sibling's dirty
+    word), so the line must leave the dirty-shared index."""
+    from repro.validation import check_vips_l1
+    machine, lines = _fence_fuzz_machine(label)
+    protocol = machine.protocol
+    addr = lines[0]
+
+    def toucher(ctx):  # core 1: makes the page shared
+        yield ops.Load(addr + 8)
+
+    def writer(ctx):
+        yield ops.Compute(200)
+        yield ops.Store(addr, 7)
+
+    def reader(ctx):
+        yield ops.Compute(201)
+        yield ops.Load(addr)
+
+    machine.spawn([writer, reader, toucher])
+    machine.run()
+    line = protocol.addr_map.line_of(addr)
+    assert machine.stats.l1_misses == 3  # two fills of one line at L1 0
+    assert line in protocol._shared_lines[0]
+    assert line not in protocol._dirty_shared[0]
+    check_vips_l1(protocol)

@@ -148,3 +148,14 @@ class TestCorruptionDetected:
         payload.shared = True  # cached as shared, classifier says private
         with pytest.raises(InvariantViolation, match="classified private"):
             check_vips_l1(machine.protocol)
+
+    def test_stale_fence_index_detected(self):
+        machine = Machine(config_for("BackOff-10", num_cores=4))
+        issue(machine, 1, ops.Load(ADDR))  # page shared from here on
+        issue(machine, 0, ops.Store(ADDR, 1))
+        check_vips_l1(machine.protocol)
+        line = machine.protocol.addr_map.line_of(ADDR)
+        # Corrupt: the dirty word is gone but the index still lists it.
+        machine.protocol.l1[0].lookup(line).payload.dirty_words.clear()
+        with pytest.raises(InvariantViolation, match="fence index"):
+            check_vips_l1(machine.protocol)
