@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.resilience.classify import FAILURE_EXIT_CODES
+from repro.resilience.classify import FAILURE_EXIT_CODES, capped_backoff
 
 __all__ = ["RestartBudget", "RestartDecision", "SlotBudget",
            "QUARANTINED", "kind_of_exit"]
@@ -133,8 +133,9 @@ class RestartBudget:
         resumed supervisor pick up a half-served backoff mid-wait."""
         if restart_ordinal < 1:
             return 0.0
-        base = min(self.backoff_max_s,
-                   self.backoff_base_s * (2 ** min(restart_ordinal - 1, 10)))
+        base = capped_backoff(self.backoff_base_s,
+                              min(restart_ordinal - 1, 10),
+                              self.backoff_max_s)
         # One RNG stream per slot, fast-forwarded to the ordinal: draw
         # i is the jitter for restart i regardless of when (or in which
         # supervisor life) it is asked for.

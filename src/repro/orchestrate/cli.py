@@ -33,6 +33,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import PAPER_CONFIGS
+from repro.ioutil import atomic_write_json
 
 from repro.orchestrate.cache import ResultCache
 from repro.orchestrate.events import read_events
@@ -107,9 +108,8 @@ def load_batch(path: str) -> List[JobSpec]:
 
 
 def save_batch(path: str, specs: Sequence[JobSpec]) -> None:
-    with open(path, "w") as handle:
-        json.dump({"specs": [spec.to_dict() for spec in specs]},
-                  handle, indent=2, sort_keys=True)
+    atomic_write_json(path, {"specs": [spec.to_dict() for spec in specs]},
+                      indent=2)
 
 
 def _execute(specs: List[JobSpec], args: argparse.Namespace) -> int:

@@ -42,23 +42,31 @@ and every occurrence shares the record.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
-from repro.config import config_for
-from repro.harness.runner import run_workload
-from repro.resilience.classify import classify_failure, exit_code_for
+from repro.energy.model import energy_of
+from repro.harness.runner import RunResult
+from repro.obs.telemetry import Telemetry, TelemetryConfig
+from repro.obs.tracectx import TraceContext
+from repro.resilience.classify import (capped_backoff, classify_failure,
+                                       exit_code_for)
 
 from repro.orchestrate.cache import ResultCache
 from repro.orchestrate.events import EventLog
 from repro.orchestrate.jobspec import JobSpec
 from repro.orchestrate.record import RecordResult, record_of
 from repro.orchestrate.registry import build_workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.flight import FlightRecorder
 
 RunFn = Callable[[Dict[str, Any]], Dict[str, Any]]
 
@@ -77,42 +85,105 @@ def _is_fatal(exc: BaseException) -> bool:
     return isinstance(exc, (ValueError, TypeError))
 
 
-def execute_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one JobSpec (as a dict) to its record. Top-level and
-    picklable: this is what pool workers import and call.
+def execute_job(payload: Dict[str, Any],
+                boundary_hook: Optional[Callable[[int], None]] = None,
+                flight: Optional["FlightRecorder"] = None,
+                ) -> Dict[str, Any]:
+    """Run one JobSpec payload to its record. Top-level and picklable:
+    the orchestrator's pool workers and the serve workers both call it.
 
-    A ``"_checkpoint"`` entry (injected by the scheduler, never part of
-    the spec's content address) makes the run durable: the job
-    checkpoints into the given store every ``every`` cycles and, when
-    the store already holds a valid checkpoint for this job key (a
-    previous attempt crashed or timed out), resumes from it instead of
-    scratch — the record's meta then carries ``resumed_from``."""
-    payload = dict(spec_dict)
+    Out-of-band routing keys, never part of the content address:
+
+    * ``_checkpoint`` ``{dir, every}`` — checkpoint every ``every``
+      cycles and resume from the newest valid checkpoint a previous
+      attempt left (meta gains ``resumed_from`` and ``events_executed``);
+    * ``_telemetry`` ``{dir, sample_every?}`` — attach the obs layer and
+      export ``trace.json`` (and ``series.csv``) into ``dir``;
+    * ``_trace`` ``{trace_id, attempt}`` — return the ``worker.attempt``
+      / ``ckpt.restore`` / ``sim.run`` host spans on ``meta.host_spans``;
+    * ``_deadline`` ``{expires, max_cycles?}`` — refuse to start past the
+      wall cutoff, and cap the simulated clock so a doomed run stops at
+      a structured ``SimulationTimeout``.
+
+    ``boundary_hook`` (crash testing) and ``flight`` (the worker's recent
+    events, for a failed run's black box) go to the
+    :class:`~repro.ckpt.checkpoint.Checkpointer`.
+    """
+    # Lazy: repro.ckpt imports this package's jobspec module.
+    from repro.ckpt import Checkpointer, CheckpointStore, build_machine
+    payload = dict(payload)
     ckpt_cfg = payload.pop("_checkpoint", None)
+    tel_cfg = payload.pop("_telemetry", None)
+    trace_cfg = payload.pop("_trace", None) or {}
+    deadline_cfg = payload.pop("_deadline", None) or {}
     spec = JobSpec.from_dict(payload)
-    config = config_for(spec.config_label, seed=spec.seed,
-                        **spec.config_overrides)
+
+    expires = float(deadline_cfg.get("expires") or 0.0)
+    if expires and time.time() >= expires:
+        raise TimeoutError(
+            f"job deadline passed {time.time() - expires:.2f}s "
+            f"before execution started")
+    tracectx = TraceContext(str(trace_cfg.get("trace_id") or ""))
+    tracectx.begin("worker.attempt", job_key=spec.job_key()[:12],
+                   attempt=int(trace_cfg.get("attempt", 0)),
+                   pid=os.getpid())
+    telemetry = (Telemetry(TelemetryConfig(
+        sample_every=int(tel_cfg.get("sample_every", 200)), spans=True))
+        if tel_cfg is not None else None)
     workload = build_workload(spec.workload, spec.workload_params)
+
     t0 = time.perf_counter()
+    checkpointer = None
     if ckpt_cfg:
-        from repro.ckpt import Checkpointer, CheckpointStore
-        from repro.energy.model import energy_of
-        from repro.harness.runner import RunResult
         checkpointer = Checkpointer(
             spec, CheckpointStore(ckpt_cfg["dir"]),
-            every=int(ckpt_cfg.get("every", 2000)),
-            ring=int(ckpt_cfg.get("ring", 8)),
-            workload=workload)
-        stats = checkpointer.run(resume=bool(ckpt_cfg.get("resume", True)))
-        result = RunResult(workload=workload.name,
-                           config_label=config.label(), stats=stats,
-                           energy=energy_of(stats))
-        record = record_of(spec, result, wall_s=time.perf_counter() - t0)
+            every=int(ckpt_cfg["every"]), telemetry=telemetry,
+            workload=workload, boundary_hook=boundary_hook, flight=flight)
+        tracectx.begin("ckpt.restore")
+        machine = checkpointer.prepare()
+        tracectx.end("ckpt.restore", resumed_from=checkpointer.resumed_from)
+    else:
+        machine = build_machine(spec, telemetry=telemetry,
+                                workload=workload)
+    max_cycles = int(deadline_cfg.get("max_cycles") or 0)
+    if max_cycles:
+        # A run budget, read at every engine slice: tightening it on a
+        # built (or restored) machine is safe (DESIGN.md §5).
+        cap = machine.config.max_cycles
+        machine.config.max_cycles = (max_cycles if cap is None
+                                     else min(cap, max_cycles))
+    tracectx.begin("sim.run")
+    stats = (checkpointer.run() if checkpointer is not None
+             else machine.run())
+    tracectx.end("sim.run", cycles=stats.cycles)
+
+    result = RunResult(workload=workload.name,
+                       config_label=machine.config.label(), stats=stats,
+                       energy=energy_of(stats), telemetry=telemetry)
+    record = record_of(spec, result, wall_s=time.perf_counter() - t0)
+    meta = record["meta"]
+    if checkpointer is not None:
+        meta["events_executed"] = machine.events_executed
         if checkpointer.resumed_from is not None:
-            record["meta"]["resumed_from"] = checkpointer.resumed_from
-        return record
-    result = run_workload(config, workload)
-    return record_of(spec, result, wall_s=time.perf_counter() - t0)
+            meta["resumed_from"] = checkpointer.resumed_from
+    if telemetry is not None and tel_cfg.get("dir"):
+        meta["artifacts"] = _export_artifacts(telemetry, tel_cfg["dir"])
+    if tracectx.trace_id:
+        tracectx.end("worker.attempt")
+        meta["trace_id"] = tracectx.trace_id
+        meta["host_spans"] = tracectx.as_dicts()
+    return record
+
+
+def _export_artifacts(telemetry: Telemetry, directory: str) -> List[str]:
+    os.makedirs(directory, exist_ok=True)
+    telemetry.write_perfetto(os.path.join(directory, "trace.json"),
+                             validate=False)
+    if telemetry.sampler is None:
+        return ["trace.json"]
+    with open(os.path.join(directory, "series.csv"), "w") as handle:
+        telemetry.sampler.to_csv(handle)
+    return ["trace.json", "series.csv"]
 
 
 @dataclass
@@ -219,8 +290,7 @@ class Orchestrator:
                  verbose: bool = False,
                  quarantine_after: int = 3,
                  checkpoint_dir: Optional[str] = None,
-                 checkpoint_every: int = 0,
-                 checkpoint_ring: int = 8) -> None:
+                 checkpoint_every: int = 0) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
@@ -241,7 +311,6 @@ class Orchestrator:
         #: checkpoint instead of scratch.
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
-        self.checkpoint_ring = checkpoint_ring
         #: Deterministic failures per job family (workload, config).
         self._family_failures: Counter = Counter()
         self.run_fn: RunFn = run_fn or execute_job
@@ -306,13 +375,13 @@ class Orchestrator:
         hashed into the job key) the checkpoint routing config."""
         payload = spec.to_dict()
         if self._checkpointing:
-            payload["_checkpoint"] = {
-                "dir": self.checkpoint_dir,
-                "every": self.checkpoint_every,
-                "ring": self.checkpoint_ring,
-                "resume": True,
-            }
+            payload["_checkpoint"] = {"dir": self.checkpoint_dir,
+                                      "every": self.checkpoint_every}
         return payload
+
+    def _backoff(self, attempt: int) -> float:
+        """Delay before retrying after failed attempt ``attempt``."""
+        return capped_backoff(self.backoff_s, attempt - 1)
 
     # -------------------------------------------------------- quarantine
 
@@ -367,7 +436,7 @@ class Orchestrator:
                     if retryable and attempt <= self.retries:
                         self.events.record("retried", key, spec.describe(),
                                            attempt=attempt, error=str(exc))
-                        time.sleep(self.backoff_s * 2 ** (attempt - 1))
+                        time.sleep(self._backoff(attempt))
                         attempt += 1
                         continue
                     self.events.record("failed", key, spec.describe(),
@@ -515,9 +584,8 @@ class Orchestrator:
         if retryable and attempt <= self.retries:
             self.events.record("retried", key, spec.describe(),
                                attempt=attempt, error=error)
-            not_before = (time.monotonic()
-                          + self.backoff_s * 2 ** (attempt - 1))
-            pending.append((spec, attempt + 1, not_before))
+            pending.append((spec, attempt + 1,
+                            time.monotonic() + self._backoff(attempt)))
         else:
             self.events.record("failed", key, spec.describe(),
                                attempt=attempt, failure_kind=kind,

@@ -24,6 +24,7 @@ are ordered by how actionable they are:
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional
 
 #: Failure kind -> process exit code for the resilience/orchestrate CLIs.
@@ -85,3 +86,11 @@ def exit_code_for(kinds) -> int:
         if kind in present:
             return FAILURE_EXIT_CODES[kind]
     return FAILURE_EXIT_CODES["error"]
+
+
+def capped_backoff(base_s: float, exponent: int,
+                   cap_s: float = math.inf) -> float:
+    """The exponential backoff curve every retry path shares:
+    ``min(cap_s, base_s * 2 ** exponent)``. Callers clamp ``exponent``
+    and add their own jitter (their RNG seeding differs)."""
+    return min(cap_s, base_s * 2 ** exponent)

@@ -36,6 +36,8 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Optional
 
+from repro.resilience.classify import capped_backoff
+
 __all__ = ["CircuitBreaker", "CircuitOpenError",
            "BREAKER_CLOSED", "BREAKER_OPEN", "BREAKER_HALF_OPEN",
            "BREAKER_STATES"]
@@ -89,8 +91,8 @@ class CircuitBreaker:
 
     def _current_cooldown(self) -> float:
         # Doubles per failed probe on this trip, capped.
-        return min(self.cooldown_max_s,
-                   self.cooldown_s * (2 ** self._reopens))
+        return capped_backoff(self.cooldown_s, self._reopens,
+                              self.cooldown_max_s)
 
     def allow(self) -> None:
         """Gate one request. Raises :class:`CircuitOpenError` while

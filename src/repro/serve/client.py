@@ -51,6 +51,7 @@ from collections import Counter
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
                     Union)
 
+from repro.resilience.classify import capped_backoff
 from repro.serve.breaker import CircuitBreaker, CircuitOpenError
 from repro.serve.model import StaleLeaseError
 
@@ -139,8 +140,8 @@ class ServeClient:
         return result
 
     def _delay(self, attempt: int, retry_after: Optional[float]) -> float:
-        base = min(self.backoff_max_s,
-                   self.backoff_s * (2 ** max(0, attempt - 1)))
+        base = capped_backoff(self.backoff_s, max(0, attempt - 1),
+                              self.backoff_max_s)
         jitter = base * self._rng.random()
         if retry_after is not None:
             return max(0.0, retry_after) + jitter

@@ -81,7 +81,6 @@ class JobQueue:
                  probe_interval_s: float = 1.0,
                  read_only_after: int = 3,
                  checkpoint_every: int = 2000,
-                 checkpoint_ring: int = 4,
                  flight_capacity: int = 256,
                  deadline_cycles_per_s: float = 0.0,
                  verbose: bool = False) -> None:
@@ -108,7 +107,6 @@ class JobQueue:
         #: accepting writes (ENOSPC short-circuits to read-only at once).
         self.read_only_after = max(1, read_only_after)
         self.checkpoint_every = checkpoint_every
-        self.checkpoint_ring = checkpoint_ring
         #: Wall→simulated-clock conversion for deadline propagation:
         #: a leased run with ``deadline_at`` set gets an out-of-band
         #: ``_deadline.max_cycles`` of ``remaining_s * this rate``, so
@@ -572,12 +570,8 @@ class JobQueue:
         (never content-hashed) checkpoint and telemetry routing."""
         payload = dict(run.spec)
         if self.checkpoint_every > 0:
-            payload["_checkpoint"] = {
-                "dir": self.checkpoint_dir,
-                "every": self.checkpoint_every,
-                "ring": self.checkpoint_ring,
-                "resume": True,
-            }
+            payload["_checkpoint"] = {"dir": self.checkpoint_dir,
+                                      "every": self.checkpoint_every}
         if getattr(run, "telemetry", False):
             payload["_telemetry"] = {"dir": self.artifacts_dir(run.job_key)}
         if run.trace_id:

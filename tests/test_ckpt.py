@@ -357,38 +357,37 @@ class TestRestoreVerification:
         restore_checkpoint(clone, verify="full")
 
 
-# --------------------------------------------------- harness integration
+# ---------------------------------------------------- executor integration
 
 
-class TestHarnessCheckpointing:
-    def test_run_workload_checkpoints_and_matches_plain_run(self, tmp_path):
-        from repro.config import config_for
-        from repro.harness.runner import run_workload
-        from repro.orchestrate.registry import build_workload
+class TestExecutorCheckpointing:
+    """``execute_job`` is the one place a payload becomes a record; its
+    ``_checkpoint`` routing must change durability, never results."""
+
+    def test_checkpointed_payload_matches_plain_run(self, tmp_path):
+        from repro.orchestrate import execute_job
         spec = spec_for()
-        config = config_for("CB-One", seed=1, num_cores=4)
-        plain = run_workload(config, build_workload("lock",
-                                                    spec.workload_params))
-        ckpt = run_workload(config_for("CB-One", seed=1, num_cores=4),
-                            build_workload("lock", spec.workload_params),
-                            checkpoint_every=300,
-                            checkpoint_dir=str(tmp_path),
-                            checkpoint_spec=spec)
-        assert ckpt.cycles == plain.cycles
-        assert ckpt.traffic == plain.traffic
-        store = CheckpointStore(str(tmp_path))
-        assert store.boundaries(spec.job_key())
+        plain = execute_job(spec.to_dict())
+        durable = execute_job({**spec.to_dict(), "_checkpoint": {
+            "dir": str(tmp_path), "every": 300}})
+        assert durable["result"] == plain["result"]
+        assert durable["meta"]["events_executed"] > 0
+        assert CheckpointStore(str(tmp_path)).boundaries(spec.job_key())
 
-    def test_run_workload_requires_spec_when_checkpointing(self, tmp_path):
-        from repro.config import config_for
-        from repro.harness.runner import run_workload
-        from repro.orchestrate.registry import build_workload
-        with pytest.raises(ValueError, match="checkpoint_spec"):
-            run_workload(config_for("CB-One", num_cores=4),
-                         build_workload("lock", {"lock_name": "ttas",
-                                                 "iterations": 2}),
-                         checkpoint_every=300,
-                         checkpoint_dir=str(tmp_path))
+    def test_cycle_deadline_persists_a_blackbox(self, tmp_path):
+        from repro.orchestrate import execute_job
+        from repro.sim.engine import SimulationTimeout
+        spec = spec_for()
+        store = CheckpointStore(str(tmp_path))
+        with pytest.raises(SimulationTimeout):
+            execute_job({**spec.to_dict(),
+                         "_checkpoint": {"dir": str(tmp_path),
+                                         "every": 300},
+                         "_deadline": {"max_cycles": 1}})
+        payload = store.load_blackbox(spec.job_key())
+        assert payload is not None
+        assert payload["error"]["kind"] == "timeout"
+        assert payload["checkpoint"]["spec"] == spec.to_dict()
 
 
 # ------------------------------------- hardened result cache (satellite)

@@ -382,6 +382,16 @@ class TestCLI:
                      str(tmp_path / "cache")]) == 0
         assert "4/4 jobs cached" in capsys.readouterr().out
 
+    def test_batch_out_into_a_missing_directory_then_resume(self, tmp_path,
+                                                          capsys):
+        batch_file = str(tmp_path / "missing" / "nested" / "batch.json")
+        assert main(self.run_args(tmp_path, "--jobs", "1",
+                                  "--batch-out", batch_file)) == 0
+        assert "4 simulated" in capsys.readouterr().out
+        assert main(["resume", batch_file, "--cache-dir",
+                     str(tmp_path / "cache")]) == 0
+        assert "4 from cache, 0 simulated" in capsys.readouterr().out
+
 
 # Classified failure injectors (top-level so pool workers can import
 # them, matching the run fns above).

@@ -2,6 +2,8 @@
 
 import json
 import pickle
+import random
+import zlib
 
 import pytest
 
@@ -436,6 +438,64 @@ class TestClassification:
         assert exit_code_for(["timeout", "invariant"]) == 2
         assert exit_code_for(["quarantined", "liveness"]) == 3
         assert exit_code_for(["mismatch", "error"]) == 7
+
+
+class TestCappedBackoff:
+    """Every retry path draws its delay from one curve
+    (``capped_backoff``) and keeps its own exponent clamp and jitter.
+    Each caller's delays must equal, bit for bit, the inline
+    ``min(cap, base * 2 ** n)`` it replaced."""
+
+    EXPONENTS = range(13)
+
+    def test_restart_budget(self):
+        from repro.fleet.budget import RestartBudget
+        budget = RestartBudget(seed=7, backoff_base_s=0.3,
+                               backoff_max_s=45.0)
+        for n in self.EXPONENTS:
+            ordinal = n + 1
+            rng = random.Random(zlib.crc32(b"slot-a") ^ 7)
+            for _ in range(ordinal):
+                jitter = rng.random()
+            base = min(45.0, 0.3 * (2 ** min(ordinal - 1, 10)))
+            assert (budget.backoff_s("slot-a", ordinal)
+                    == base * (0.5 + 0.5 * jitter))
+
+    def test_worker_lease_loop(self):
+        from repro.serve.worker import Worker
+        ours = Worker("http://127.0.0.1:9", worker_id="w-7", poll_s=0.15)
+        twin = Worker("http://127.0.0.1:9", worker_id="w-7", poll_s=0.15)
+        for n in self.EXPONENTS:
+            base = min(0.15 * (2 ** min(n, 5)), 5.0)
+            expected = base * (0.5 + 0.5 * twin._backoff_rng.random())
+            assert ours._lease_backoff(n) == expected
+
+    def test_client_retries(self):
+        from repro.serve.client import ServeClient
+        ours = ServeClient("http://x", backoff_s=0.07, backoff_max_s=3.0,
+                           retry_seed=11)
+        twin = ServeClient("http://x", backoff_s=0.07, backoff_max_s=3.0,
+                           retry_seed=11)
+        for n in self.EXPONENTS:
+            attempt = n + 1
+            base = min(3.0, 0.07 * (2 ** max(0, attempt - 1)))
+            assert (ours._delay(attempt, None)
+                    == base + base * twin._rng.random())
+
+    def test_breaker_cooldown(self):
+        from repro.serve.breaker import CircuitBreaker
+        breaker = CircuitBreaker(cooldown_s=0.3, cooldown_max_s=10.0)
+        for n in self.EXPONENTS:
+            breaker._reopens = n
+            assert breaker._current_cooldown() == min(10.0, 0.3 * (2 ** n))
+
+    def test_orchestrator_retries(self):
+        from repro.orchestrate import Orchestrator
+        orchestrator = Orchestrator(backoff_s=0.05)
+        for n in self.EXPONENTS:
+            attempt = n + 1
+            assert (orchestrator._backoff(attempt)
+                    == 0.05 * 2 ** (attempt - 1))
 
 
 # ------------------------------------------------------------------- CLI
