@@ -34,10 +34,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.ckpt.state import (capture_state, diff_captures,
+from repro.ckpt.state import (capture_state, diff_captures, encode_state,
                               functional_fingerprint, state_fingerprint)
 from repro.config import config_for
 from repro.core.machine import Machine
+from repro.ioutil import sha256_text
 from repro.orchestrate.jobspec import JobSpec
 from repro.sim.engine import (DeadlockError, LivenessError, SimulationError,
                               SimulationTimeout)
@@ -91,6 +92,10 @@ class Checkpoint:
     final: bool = False
     progress: Dict[str, int] = field(default_factory=dict)
     version: int = CKPT_VERSION
+    #: ``state``'s canonical text when this checkpoint was just taken
+    #: (:func:`take_checkpoint` encodes it once; the store splices it
+    #: into the blob). None for a checkpoint loaded from disk.
+    encoded: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
     def job_key(self) -> str:
@@ -140,8 +145,11 @@ def take_checkpoint(machine: Machine, spec: JobSpec, boundary: int,
                     plan: Optional["FaultPlan"] = None,
                     final: bool = False) -> Checkpoint:
     """Capture ``machine`` at ``boundary`` (caller guarantees every
-    event before the boundary has executed and none at-or-after it)."""
+    event before the boundary has executed and none at-or-after it).
+    The capture is encoded once; the fingerprint is taken over that
+    text, which :meth:`CheckpointStore.save` reuses for the blob."""
     state = capture_state(machine)
+    encoded = encode_state(state)
     return Checkpoint(
         spec=spec.to_dict(),
         plan=plan.to_dict() if plan is not None else None,
@@ -151,9 +159,10 @@ def take_checkpoint(machine: Machine, spec: JobSpec, boundary: int,
         observed=machine.telemetry is not None,
         final=final,
         progress={str(k): v for k, v in machine.progress().items()},
-        fingerprint=state_fingerprint(state),
+        fingerprint=sha256_text(encoded),
         functional=functional_fingerprint(machine),
         state=state,
+        encoded=encoded,
     )
 
 

@@ -3,9 +3,10 @@
 Simulated threads are Python generators — continuations that cannot be
 serialized. What *can* be captured, canonically and completely, is every
 observable consequence of how far the simulation has run. Each mutable
-component therefore implements ``ckpt_state()`` returning plain
-JSON-able data (sorted, canonical, object-id-free), and
-:meth:`~repro.core.machine.Machine.ckpt_state` aggregates them:
+component therefore implements ``ckpt_state()`` returning
+JSON-native data (object-id-free; dicts keyed by ``str``, sequences as
+lists), and :meth:`~repro.core.machine.Machine.ckpt_state` aggregates
+them:
 
 ====================  ====================================================
 component             capture
@@ -23,7 +24,14 @@ Core                  retirement counts, lifecycle cycles, spin flag
 ====================  ====================================================
 
 Two machines with equal captures behave identically from that point on;
-the capture's SHA-256 is the checkpoint **fingerprint**. A second,
+the capture's SHA-256 is the checkpoint **fingerprint**. Because every
+key is already a string (word, line, page and core numbers included), a
+capture equals itself read back from disk, and one ``json.dumps`` with
+sorted keys (:func:`encode_state`) is its canonical form: the same text
+:func:`~repro.ioutil.canonical_json` produces with its extra round-trip.
+A checkpoint boundary encodes its capture once and derives the
+fingerprint, the blob checksum and the blob text from that encoding. A
+second,
 weaker digest — the **functional fingerprint**, SHA-256 over the word
 store's non-zero values only (the same formula the fault campaigns use,
 :func:`repro.resilience.campaign.functional_fingerprint`) — survives
@@ -42,13 +50,13 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Any, Dict
 
-from repro.ioutil import sha256_of
+from repro.ioutil import sha256_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import Machine
 
-__all__ = ["capture_state", "state_fingerprint", "functional_fingerprint",
-           "diff_captures"]
+__all__ = ["capture_state", "encode_state", "state_fingerprint",
+           "functional_fingerprint", "diff_captures"]
 
 
 def capture_state(machine: "Machine") -> Dict[str, Any]:
@@ -56,9 +64,16 @@ def capture_state(machine: "Machine") -> Dict[str, Any]:
     return machine.ckpt_state()
 
 
-def state_fingerprint(state: Dict[str, Any]) -> str:
+def encode_state(state: Any) -> str:
+    """A capture's canonical JSON text, in one pass (captures are
+    JSON-native, so sorting keys here already sorts them as a re-read
+    capture would)."""
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+
+
+def state_fingerprint(state: Any) -> str:
     """SHA-256 hex over a capture's canonical JSON form."""
-    return sha256_of(state)
+    return sha256_text(encode_state(state))
 
 
 def functional_fingerprint(machine: "Machine") -> str:
@@ -82,10 +97,10 @@ def diff_captures(expected: Dict[str, Any],
     """
     out: Dict[str, str] = {}
     for key in sorted(set(expected) | set(actual)):
-        # Compare canonical digests, not raw dicts: a JSON round-trip
-        # coerces int keys to strings without changing the fingerprint.
-        want = sha256_of(expected.get(key))
-        got = sha256_of(actual.get(key))
+        # Captures are JSON-native, so a live capture and one read back
+        # from a blob encode alike; digests keep the report short.
+        want = state_fingerprint(expected.get(key))
+        got = state_fingerprint(actual.get(key))
         if want != got:
             out[key] = f"{want[:12]} != {got[:12]}"
     return out

@@ -29,8 +29,11 @@ import time
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.ckpt.checkpoint import Checkpoint
-from repro.ioutil import (CorruptArtifactError, atomic_write_json, fsync_dir,
-                          quarantine, read_checked_json, sha256_of)
+from repro.ckpt.state import encode_state
+from repro.ioutil import (CorruptArtifactError, atomic_write_json,
+                          atomic_write_text, canonical_json, fsync_dir,
+                          join_canonical, quarantine, read_checked_json,
+                          sha256_of, sha256_text)
 
 __all__ = ["CheckpointStore"]
 
@@ -90,12 +93,23 @@ class CheckpointStore:
     # -------------------------------------------------------------- save
 
     def save(self, ckpt: Checkpoint) -> str:
-        """Atomically publish one checkpoint blob; returns its path."""
+        """Atomically publish one checkpoint blob; returns its path.
+
+        The blob is the canonical JSON of the checkpoint plus its
+        checksum, assembled around the capture's one encoding
+        (``ckpt.encoded``) rather than by serializing the state again:
+        the bytes are those of ``atomic_write_json`` of the checksummed
+        body."""
         job_key = ckpt.job_key
-        body = ckpt.to_dict()
-        blob = {**body, "checksum": sha256_of(body)}
+        members = {key: canonical_json(value)
+                   for key, value in ckpt.to_dict().items()
+                   if key != "state"}
+        members["state"] = (ckpt.encoded if ckpt.encoded is not None
+                            else encode_state(ckpt.state))
+        body = join_canonical(members)
+        members["checksum"] = json.dumps(sha256_text(body))
         path = self._blob_path(job_key, ckpt.boundary)
-        atomic_write_json(path, blob)
+        atomic_write_text(path, join_canonical(members) + "\n")
         self._journal("saved", job_key, boundary=ckpt.boundary,
                       final=ckpt.final, fingerprint=ckpt.fingerprint,
                       path=os.path.relpath(path, self.root))

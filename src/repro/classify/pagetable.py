@@ -57,7 +57,8 @@ class PageClassifier:
 
     def ckpt_state(self) -> Dict[str, object]:
         """Classification table as canonical data (checkpoint capture)."""
-        return {"owner": dict(sorted(self._owner.items())),
+        return {"owner": {str(page): owner
+                          for page, owner in self._owner.items()},
                 "transitions": self.transitions_to_shared}
 
     def force_shared(self, addr: int) -> None:

@@ -32,7 +32,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 from repro.iohooks import (SITE_DIR_FSYNC, SITE_PUBLISHED, SITE_READ,
                            SITE_RENAME, SITE_TMP_FSYNC, SITE_TMP_WRITE,
@@ -40,7 +40,8 @@ from repro.iohooks import (SITE_DIR_FSYNC, SITE_PUBLISHED, SITE_READ,
 from repro.obs.metrics import Counter
 
 __all__ = [
-    "canonical_json", "sha256_of", "atomic_write_text",
+    "canonical_json", "join_canonical", "sha256_of", "sha256_text",
+    "atomic_write_text",
     "atomic_write_json", "fsync_dir", "quarantine", "read_checked_json",
     "CorruptArtifactError", "FSYNC_ERRORS",
 ]
@@ -81,9 +82,26 @@ def canonical_json(value: Any) -> str:
                       separators=(",", ":"))
 
 
+def join_canonical(members: Dict[str, str]) -> str:
+    """Canonical text of an object from its members' canonical texts.
+
+    ``members`` maps each key to its value's already-canonical JSON, so
+    a writer that encoded one large member (a checkpoint's state
+    capture) splices it in instead of serializing it again. The result
+    equals :func:`canonical_json` of the decoded object.
+    """
+    return "{" + ",".join(f"{json.dumps(key)}:{members[key]}"
+                          for key in sorted(members)) + "}"
+
+
+def sha256_text(text: str) -> str:
+    """SHA-256 hex digest of already-canonical JSON text."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def sha256_of(value: Any) -> str:
     """SHA-256 hex digest of a JSON-able value's canonical form."""
-    return hashlib.sha256(canonical_json(value).encode()).hexdigest()
+    return sha256_text(canonical_json(value))
 
 
 def fsync_dir(path: str) -> None:

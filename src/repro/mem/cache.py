@@ -149,7 +149,7 @@ class SetAssociativeCache:
         additionally pin their RNG stream."""
         state: List[list] = [
             [[entry.line, payload_state(entry.payload)]
-             for entry in bucket.values()]
+             for entry in bucket.values()] if bucket else []
             for bucket in self._sets
         ]
         if self._rng is not None:

@@ -42,12 +42,15 @@ class WordStore:
         campaigns fingerprint to prove faults left results intact."""
         return {key: value for key, value in self._values.items() if value}
 
-    def ckpt_state(self) -> Dict[str, Dict[int, int]]:
+    def ckpt_state(self) -> Dict[str, Dict[str, int]]:
         """Values *and* versions (checkpoint fingerprints need both: the
         version counters are what protocols compare snapshots against,
-        so a restored run must resume with identical ones)."""
-        return {"values": self.snapshot(),
-                "versions": dict(sorted(self._versions.items()))}
+        so a restored run must resume with identical ones). Word keys
+        are strings, as JSON stores them."""
+        return {"values": {str(key): value
+                           for key, value in self._values.items() if value},
+                "versions": {str(key): version
+                             for key, version in self._versions.items()}}
 
     def version(self, addr: int) -> int:
         return self._versions.get(self._key(addr), 0)

@@ -43,6 +43,11 @@ class CallbackDirectory:
         self._cache = SetAssociativeCache(
             sets=sets, ways=config.cb_entries_per_bank // sets)
         self._rng = random.Random(config.seed * 1009 + bank)
+        # Draws taken from _rng, and the capture digest of its state at
+        # a given draw count: the state only moves in rng_next, so the
+        # digest is recomputed only after a draw.
+        self._draws = 0
+        self._rng_digest: Tuple[int, str] = (-1, "")
         #: Telemetry probe bus (set when a Telemetry attaches), else None.
         self.obs = None
 
@@ -100,6 +105,7 @@ class CallbackDirectory:
         return evicted
 
     def rng_next(self, bound: int) -> int:
+        self._draws += 1
         return self._rng.randrange(bound)
 
     def discard(self, word: int) -> List[Waiter]:
@@ -179,9 +185,13 @@ class CallbackDirectory:
     def ckpt_state(self) -> dict:
         """Resident entries (replacement order preserved) plus a digest
         of the wake-policy RNG stream (checkpoint capture)."""
-        import hashlib
-        rng = hashlib.sha256(repr(self._rng.getstate()).encode()).hexdigest()
+        draws, rng = self._rng_digest
+        if draws != self._draws:
+            import hashlib
+            rng = hashlib.sha256(
+                repr(self._rng.getstate()).encode()).hexdigest()[:16]
+            self._rng_digest = (self._draws, rng)
         return {"bank": self.bank,
                 "entries": self._cache.ckpt_state(
                     lambda entry: entry.ckpt_state()),
-                "rng": rng[:16]}
+                "rng": rng}

@@ -75,14 +75,15 @@ class MESIProtocol(CoherenceProtocol):
         state = super().ckpt_state()
         state["l1"] = [cache.ckpt_state(lambda line: line.ckpt_state())
                        for cache in self.l1]
-        state["dir"] = {line: entry.ckpt_state()
-                        for line, entry in sorted(self._dir.items())
+        state["dir"] = {str(line): entry.ckpt_state()
+                        for line, entry in self._dir.items()
                         if entry.owner is not None or entry.sharers
                         or entry.busy or entry.queue}
         state["watches"] = {
-            core: {line: [[w.word_addr, w.start, w.tid] for w in watches]
-                   for line, watches in sorted(per_core.items()) if watches}
-            for core, per_core in sorted(self._watches.items())
+            str(core): {str(line): [[w.word_addr, w.start, w.tid]
+                                    for w in watches]
+                        for line, watches in per_core.items() if watches}
+            for core, per_core in self._watches.items()
             if any(per_core.values())
         }
         return state

@@ -58,7 +58,8 @@ class L1Line:
     def ckpt_state(self) -> Dict[str, object]:
         """MESI state + fill-time value snapshot (checkpoint capture)."""
         return {"state": self.state.value,
-                "snapshot": dict(sorted(self.snapshot.items()))}
+                "snapshot": {str(word): value
+                             for word, value in self.snapshot.items()}}
 
 
 class DirEntry:

@@ -85,8 +85,8 @@ class VIPSProtocol(CoherenceProtocol):
                        for cache in self.l1]
         # Key presence == lock held (even with an empty wait queue), so
         # every entry is captured; the value is the contention depth.
-        state["mshr"] = {word: len(queue)
-                         for word, queue in sorted(self._mshr_locked.items())}
+        state["mshr"] = {str(word): len(queue)
+                         for word, queue in self._mshr_locked.items()}
         return state
 
     # --------------------------------------------------------- DRF data ops

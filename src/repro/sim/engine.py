@@ -170,7 +170,7 @@ class Engine:
         daemon scheduling shifts them without changing the order of the
         live events themselves.
         """
-        live = [(time, _callback_name(callback))
+        live = [[time, _callback_name(callback)]
                 for time, _seq, callback, daemon in sorted(self._queue)
                 if not daemon]
         return {"now": self.now, "live_pending": self._live, "queue": live}

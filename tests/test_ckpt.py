@@ -357,6 +357,119 @@ class TestRestoreVerification:
         restore_checkpoint(clone, verify="full")
 
 
+# ------------------------------------------------------- encoding parity
+
+
+def _waiters_parked(protocol):
+    return any(payload["waiters"]
+               for bank in protocol["cb_dirs"]
+               for bucket in bank["entries"][0]
+               for _line, payload in bucket)
+
+
+#: (label, what must be live in the mid-run capture's protocol part).
+MID_RUN = {
+    "Invalidation": lambda p: p["watches"] and p["dir"],
+    "BackOff-10": lambda p: p["mshr"],
+    "CB-One": lambda p: p["mshr"] and _waiters_parked(p),
+}
+
+
+def _assert_str_keys(value, path="state"):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert isinstance(key, str), f"{path} has key {key!r}"
+            _assert_str_keys(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _assert_str_keys(item, f"{path}[{index}]")
+
+
+def _old_blob_text(ckpt):
+    """What a save wrote before blobs were assembled from one encoding."""
+    body = ckpt.to_dict()
+    return canonical_json({**body, "checksum": sha256_of(body)}) + "\n"
+
+
+def mid_run_checkpoint(label):
+    """The first 25-cycle boundary of a 16-core TTAS run whose capture
+    has live events queued and ``MID_RUN[label]`` state present."""
+    spec = spec_for(label, num_cores=16)
+    machine = build_machine(spec)
+    found = []
+
+    def at_boundary(boundary):
+        if found:
+            return
+        state = capture_state(machine)
+        if state["engine"]["queue"] and MID_RUN[label](state["protocol"]):
+            found.append(take_checkpoint(machine, spec, boundary))
+
+    machine.run(checkpoint_every=25, on_checkpoint=at_boundary)
+    assert found, f"no {label} boundary had the state under test"
+    return found[0]
+
+
+class TestEncodingParity:
+    @pytest.mark.parametrize("label", sorted(MID_RUN))
+    def test_mid_run_capture_encodes_canonically(self, label, tmp_path):
+        ckpt = mid_run_checkpoint(label)
+        _assert_str_keys(ckpt.state)
+        assert ckpt.encoded == canonical_json(ckpt.state)
+        assert json.loads(ckpt.encoded) == ckpt.state
+        assert ckpt.fingerprint == sha256_of(ckpt.state)
+        path = CheckpointStore(str(tmp_path)).save(ckpt)
+        with open(path) as handle:
+            assert handle.read() == _old_blob_text(ckpt)
+
+    def test_save_without_encoding_writes_the_same_bytes(self, tmp_path):
+        ckpt = mid_run_checkpoint("CB-One")
+        ckpt.encoded = None                 # as if loaded from disk
+        path = CheckpointStore(str(tmp_path)).save(ckpt)
+        with open(path) as handle:
+            assert handle.read() == _old_blob_text(ckpt)
+
+    def test_keys_straddling_a_digit_length_boundary(self, tmp_path):
+        """Word 10000 sorts before word 9992 as text: the capture must
+        carry string keys so one sorted dump already orders them the
+        way a re-read blob does."""
+        from repro.mem.store import WordStore
+        from repro.ckpt.state import encode_state
+        store = WordStore(word_bytes=8)
+        for word in (9992, 10000, 9999, 100000):
+            store.write(word * 8, word)
+        state = {"store": store.ckpt_state()}
+        _assert_str_keys(state)
+        assert encode_state(state) == canonical_json(state)
+        assert encode_state(state).index('"10000"') < \
+            encode_state(state).index('"9992"')
+        int_keyed = {"store": {"values": {w: w for w in (9992, 10000)}}}
+        assert encode_state(int_keyed) != canonical_json(int_keyed)
+
+        spec = spec_for()
+        ckpt = take_checkpoint(build_machine(spec), spec, boundary=0)
+        ckpt.state["store"] = state["store"]
+        ckpt.encoded = encode_state(ckpt.state)
+        path = CheckpointStore(str(tmp_path)).save(ckpt)
+        with open(path) as handle:
+            assert handle.read() == _old_blob_text(ckpt)
+
+
+class TestOldStoreCompatibility:
+    def test_blob_written_the_old_way_loads_and_restores(self, tmp_path):
+        ckpt = mid_run_checkpoint("Invalidation")
+        store = CheckpointStore(str(tmp_path))
+        body = ckpt.to_dict()
+        atomic_write_json(store._blob_path(ckpt.job_key, ckpt.boundary),
+                          {**body, "checksum": sha256_of(body)})
+        loaded = store.latest(ckpt.job_key)
+        assert loaded is not None
+        assert loaded.boundary == ckpt.boundary
+        assert loaded.fingerprint == ckpt.fingerprint
+        assert loaded.state == ckpt.state
+        restore_checkpoint(loaded, verify="full")     # must not raise
+
+
 # ---------------------------------------------------- executor integration
 
 
