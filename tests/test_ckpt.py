@@ -16,9 +16,11 @@ from repro.ckpt import (Checkpoint, CheckpointMismatchError, Checkpointer,
                         CheckpointStore, build_machine, capture_state,
                         functional_fingerprint, restore_checkpoint,
                         state_fingerprint, take_checkpoint)
+from repro.ckpt.state import encode_state
 from repro.ioutil import (CorruptArtifactError, atomic_write_json,
                           atomic_write_text, canonical_json, quarantine,
                           read_checked_json, sha256_of)
+from repro.mem.store import WordStore
 from repro.orchestrate import JobSpec
 
 #: One label per protocol style: write-invalidate MESI, MESI with
@@ -433,8 +435,6 @@ class TestEncodingParity:
         """Word 10000 sorts before word 9992 as text: the capture must
         carry string keys so one sorted dump already orders them the
         way a re-read blob does."""
-        from repro.mem.store import WordStore
-        from repro.ckpt.state import encode_state
         store = WordStore(word_bytes=8)
         for word in (9992, 10000, 9999, 100000):
             store.write(word * 8, word)
