@@ -5,9 +5,9 @@ Every memory operation a core performs goes through
 call site in the simulator after the event loop itself. The dispatch
 used to be ``getattr(self, _DISPATCH[type(op)])`` per call, paying an
 attribute lookup plus a bound-method allocation for every op; it is now
-a per-class handler map resolved once in ``_resolve_handlers`` (ROADMAP
-item 1). These benches pin the win and guard against regressing back to
-per-call resolution:
+a per-class handler map resolved once in ``_resolve_handlers``. These
+benches pin the win and guard against regressing back to per-call
+resolution:
 
 * the micro ratio times both strategies over a realistic op mix
   (cached resolution is the one ``issue()`` ships with);

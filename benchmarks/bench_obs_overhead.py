@@ -13,15 +13,12 @@ below uses 1.5x so CI-noise never flakes it, while the printed ratio is
 what the figure-quality claim rests on (locally it sits at ~1.0x).
 """
 
-import os
 import time
 
 import pytest
 
 from benchmarks.conftest import BENCH_CORES, BENCH_ITERS
-from repro.bench import bench_doc, load_bench, save_bench
 from repro.config import config_for
-from repro.core.machine import Machine
 from repro.harness.runner import run_workload
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.workloads.microbench import LockMicrobench
@@ -92,95 +89,3 @@ def test_idle_bus_overhead_bounded():
     print(f"\nbare {bare * 1e3:.1f} ms, idle bus {idle * 1e3:.1f} ms, "
           f"ratio {ratio:.3f}x")
     assert ratio < 1.5
-
-
-def test_results_identical_with_idle_bus():
-    """The overhead comparison is apples-to-apples: same simulation."""
-    bare = _bare_run()
-    idle = _idle_bus_run()
-    assert bare.cycles == idle.cycles
-    assert bare.stats.counters() == idle.stats.counters()
-
-
-# ---------------------------------------------------------------------------
-# BENCH document: the overhead trajectory, in the same schema as the
-# engine trajectory (results/BENCH_obs_overhead.json is its baseline).
-
-OBS_BASELINE = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "results", "BENCH_obs_overhead.json")
-
-#: The three instrumentation levels, as BENCH cases.
-_OBS_CASES = (
-    ("obs_bare", lambda: None),
-    ("obs_idle_bus", lambda: Telemetry(TelemetryConfig())),
-    ("obs_full", lambda: Telemetry(TelemetryConfig(sample_every=200,
-                                                   spans=True))),
-)
-
-
-def _measure_obs_case(name, telemetry_factory, rounds=RATIO_ROUNDS):
-    """Like repro.bench.cases.run_case, but with a telemetry level —
-    uses the Machine directly so ``events_executed`` is measurable."""
-    best = float("inf")
-    cycles = events = None
-    for _ in range(rounds):
-        machine = Machine(_config(), telemetry=telemetry_factory())
-        _workload().install(machine)
-        t0 = time.perf_counter()
-        stats = machine.run()
-        best = min(best, time.perf_counter() - t0)
-        if cycles is None:
-            cycles, events = stats.cycles, machine.events_executed
-        else:
-            assert (cycles, events) == (stats.cycles,
-                                        machine.events_executed)
-    return {
-        "name": name,
-        "workload": "lock",
-        "params": {"lock_name": "ttas", "iterations": BENCH_ITERS},
-        "protocol": "CB-One",
-        "cores": BENCH_CORES,
-        "seed": 1,
-        "cycles": int(cycles),
-        "events": int(events),
-        "wall_s": round(best, 6),
-        "cycles_per_s": round(cycles / best, 1),
-        "events_per_s": round(events / best, 1),
-    }
-
-
-@pytest.fixture(scope="module")
-def obs_bench():
-    cases = [_measure_obs_case(name, factory)
-             for name, factory in _OBS_CASES]
-    doc = bench_doc("obs_overhead", cases, iters=RATIO_ROUNDS)
-    out = os.environ.get("REPRO_BENCH_OBS_OUT")
-    if out:
-        save_bench(out, doc)
-    return doc
-
-
-def test_obs_bench_document_shape(obs_bench):
-    by_name = {c["name"]: c for c in obs_bench["cases"]}
-    assert set(by_name) == {"obs_bare", "obs_idle_bus", "obs_full"}
-    # Telemetry observes; it must never change what the engine computes
-    # (simulated cycles identical everywhere). Full sampling *does* add
-    # its own periodic events to the queue — more events executed is
-    # fine, different cycles would be a probe-effect bug.
-    assert len({c["cycles"] for c in by_name.values()}) == 1
-    assert by_name["obs_bare"]["events"] == \
-           by_name["obs_idle_bus"]["events"]
-    assert by_name["obs_full"]["events"] >= \
-           by_name["obs_bare"]["events"]
-
-
-def test_obs_bench_matches_committed_baseline(obs_bench):
-    if not os.path.exists(OBS_BASELINE):
-        pytest.skip("no committed obs-overhead baseline yet")
-    base = {c["name"]: c for c in load_bench(OBS_BASELINE)["cases"]}
-    for case in obs_bench["cases"]:
-        assert (case["cycles"], case["events"]) == \
-               (base[case["name"]]["cycles"],
-                base[case["name"]]["events"]), (
-            f"{case['name']}: deterministic outputs diverged — "
-            f"regenerate results/BENCH_obs_overhead.json if intentional")

@@ -58,7 +58,7 @@ def registered_tables() -> Dict[str, Dict[str, TransitionTable]]:
 # ``{protocol class: {op type: unbound handler}}``. Resolving once per
 # class (instead of a getattr per call) keeps subclass overrides intact
 # while removing ~40% of dispatch overhead on the issue() hot path —
-# see benchmarks/bench_dispatch.py and ROADMAP item 1.
+# see benchmarks/bench_dispatch.py.
 _HANDLER_CACHE: Dict[type, Dict[type, Callable[..., Future]]] = {}
 
 

@@ -136,15 +136,6 @@ def test_bench_cells_keep_their_pinned_cycles_and_events():
             for name in BENCH} == BENCH_PINS
 
 
-def test_bench_pins_equal_the_bench_engine_baseline():
-    path = os.path.join(os.path.dirname(GOLDEN_PATH), os.pardir, "results",
-                        "BENCH_engine.json")
-    with open(path) as handle:
-        cases = json.load(handle)["cases"]
-    assert {case["name"]: (case["cycles"], case["events"])
-            for case in cases} == BENCH_PINS
-
-
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit("usage: test_golden_grid.py --regen")

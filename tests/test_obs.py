@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.config import config_for
+from repro.core.machine import Machine
 from repro.harness.runner import run_workload
 from repro.harness.sweeps import Sweep
 from repro.obs import (DEFAULT_COUNTERS, HostProfiler, MetricsRegistry,
@@ -232,6 +233,30 @@ def test_profiler_leaves_results_bit_identical():
     assert bare.stats.cycles == instrumented.stats.cycles
     assert bare.stats.counters() == instrumented.stats.counters()
     assert telemetry.profiler.events > 0
+
+
+def test_probe_effect_pinned_on_cb_one_ttas():
+    """Bare, idle bus and full collection simulate the same run; only
+    the sampler's own daemon events add to the executed-event count."""
+    levels = {
+        "bare": None,
+        "idle_bus": Telemetry(TelemetryConfig()),
+        "full": Telemetry(TelemetryConfig(sample_every=200, spans=True)),
+    }
+    runs = {}
+    for level, telemetry in levels.items():
+        machine = Machine(config_for("CB-One", num_cores=16, seed=1),
+                          telemetry=telemetry)
+        build_workload("lock", {"lock_name": "ttas",
+                                "iterations": 5}).install(machine)
+        stats = machine.run()
+        runs[level] = (stats.cycles, machine.events_executed,
+                       stats.counters())
+    assert {level: run[:2] for level, run in runs.items()} == {
+        "bare": (9088, 1339), "idle_bus": (9088, 1339),
+        "full": (9088, 1385)}
+    assert runs["idle_bus"][2] == runs["bare"][2]
+    assert runs["full"][2] == runs["bare"][2]
 
 
 # ---------------------------------------------------------------- spans
